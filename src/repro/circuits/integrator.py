@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.circuits.devices import CapacitorModel
+from repro.circuits.mosfet import MosfetModel
 from repro.circuits.opamp import OpAmpPerformance, OpAmpSizing, analyze_opamp, phase_margin_deg
 from repro.circuits.technology import Technology
 
@@ -263,13 +264,12 @@ def analyze_integrator(
     if settle_epsilon is None:
         settle_epsilon = 1e-4
 
-    # First pass with a load estimate ignoring beta (cgs1 needed for beta).
-    # cgs1 and the parasitics depend only on geometry, so a single
-    # bootstrap analysis with a rough load is enough to fix beta exactly,
-    # and a second analysis uses the true load.
-    rough = analyze_opamp(tech, design.opamp, design.c_load + design.cf)
-    beta = feedback_factor(tech, design, rough.cgs1)
-    c_amp = amplifier_load(tech, design, rough.cgs1, beta)
+    # beta needs the input pair's cgs1, which depends on geometry and Cox
+    # alone, so beta and the true op-amp load are known before any bias
+    # solve and one op-amp analysis suffices.
+    cgs1 = MosfetModel(tech.nmos).gate_source_cap(design.opamp.w1, design.opamp.l1)
+    beta = feedback_factor(tech, design, cgs1)
+    c_amp = amplifier_load(tech, design, cgs1, beta)
     amp = analyze_opamp(tech, design.opamp, c_amp)
 
     st = settling_time(amp, beta, settle_epsilon)

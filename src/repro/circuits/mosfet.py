@@ -62,8 +62,22 @@ class MosfetModel:
         )
         return cbrt_term + power_term
 
-    def _vsat_factor(self, vov: np.ndarray, l: np.ndarray) -> np.ndarray:
-        return np.maximum(1.0 - vov / (self.dev.esat * l), MIN_VSAT_FACTOR)
+    def _bias_factors(
+        self, w: np.ndarray, l: np.ndarray, vds: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The VGS-independent factors of eqn (1):
+        ``(0.5 k' W/L, Esat L, 1 + lambda VDS)``."""
+        d = self.dev
+        return 0.5 * d.kprime * (w / l), d.esat * l, 1.0 + (d.lambda_l / l) * vds
+
+    def _current(
+        self, factors: Tuple[np.ndarray, np.ndarray, np.ndarray], vgs: np.ndarray
+    ) -> np.ndarray:
+        """Eqn (1) at *vgs*, given :meth:`_bias_factors`."""
+        gain, esat_l, clm = factors
+        vov = np.maximum(vgs - self.dev.vt0, 0.0)
+        vsat = np.maximum(1.0 - vov / esat_l, MIN_VSAT_FACTOR)
+        return gain * vov**2 * vsat * clm / self._mobility_denominator(vgs)
 
     # ------------------------------------------------------------- currents
 
@@ -71,15 +85,11 @@ class MosfetModel:
         self, w: np.ndarray, l: np.ndarray, vgs: np.ndarray, vds: np.ndarray
     ) -> np.ndarray:
         """Saturation drain current of eqn (1); 0 below threshold."""
-        d = self.dev
         w, l, vgs, vds = np.broadcast_arrays(
             np.asarray(w, float), np.asarray(l, float),
             np.asarray(vgs, float), np.asarray(vds, float),
         )
-        vov = np.maximum(vgs - d.vt0, 0.0)
-        core = 0.5 * d.kprime * (w / l) * vov**2
-        num = core * self._vsat_factor(vov, l) * (1.0 + (d.lambda_l / l) * vds)
-        return num / self._mobility_denominator(vgs)
+        return self._current(self._bias_factors(w, l, vds), vgs)
 
     def transconductance(
         self, w: np.ndarray, l: np.ndarray, vgs: np.ndarray, vds: np.ndarray
@@ -143,9 +153,12 @@ class MosfetModel:
         base = np.zeros(np.broadcast(w, np.asarray(d.vt0, float)).shape)
         lo = base + np.asarray(d.vt0, float) + 1e-3
         hi = base + np.asarray(d.vt0, float) + vov_max
+        # The VGS-independent factors are computed once, outside the loop;
+        # each step is then exactly a drain_current call at VGS = mid.
+        factors = self._bias_factors(w, l, vds)
         for _ in range(iterations):
             mid = 0.5 * (lo + hi)
-            too_low = self.drain_current(w, l, mid, vds) < ids
+            too_low = self._current(factors, mid) < ids
             lo = np.where(too_low, mid, lo)
             hi = np.where(too_low, hi, mid)
         return 0.5 * (lo + hi)

@@ -31,6 +31,7 @@ commensurate):
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -52,6 +53,9 @@ from repro.core.partitions import PartitionGrid
 from repro.problems.base import Problem
 
 C_LOAD_MAX = 5.0e-12
+
+# Process corners the worst-case constraints range over besides nominal.
+_CORNERS = ("FF", "SS", "FS", "SF")
 
 PARAMETER_NAMES = (
     "w1", "l1", "w3", "l3", "w5", "l5", "w6", "l6", "w7", "l7",
@@ -129,6 +133,20 @@ def spec_pass_matrix(
     )
 
 
+def _card_rows(perf: IntegratorPerformance, index) -> IntegratorPerformance:
+    """Card rows *index* of an analysis under a stacked card.
+
+    Fields that do not depend on the card (power, area, beta, ...) come
+    out without the card axis; broadcasting restores it before indexing.
+    The op-amp detail (``amp``) is dropped.
+    """
+    values = {f.name: getattr(perf, f.name) for f in fields(perf) if f.name != "amp"}
+    shape = np.broadcast_shapes(*(np.shape(v) for v in values.values()))
+    return IntegratorPerformance(
+        **{name: np.broadcast_to(v, shape)[index] for name, v in values.items()}
+    )
+
+
 class IntegratorSizingProblem(Problem):
     """Constrained two-objective sizing of the CDS SC integrator.
 
@@ -175,17 +193,26 @@ class IntegratorSizingProblem(Problem):
             upper=_UPPER,
             name=name or f"IntegratorSizing[{self.spec.name}]",
         )
-        self.tech = nominal_technology()
         self.use_corners = bool(use_corners)
-        if self.use_corners:
-            corner_cards = [
-                corner_technology(c, self.tech) for c in ("FF", "SS", "FS", "SF")
-            ]
-            self._corner_tech: Optional[Technology] = stacked_technology(corner_cards)
-        else:
-            self._corner_tech = None
         self.sampler = MonteCarloSampler(n_samples=n_mc, seed=mc_seed)
-        self._mc_tech = self.sampler.stacked(self.tech)
+        self.tech = nominal_technology()
+
+    @property
+    def tech(self) -> Technology:
+        """The nominal process card; corners and MC samples vary around it."""
+        return self._tech
+
+    @tech.setter
+    def tech(self, tech: Technology) -> None:
+        # One stacked card serves every analysis of a batch: the nominal
+        # card in row 0, then the corners (if used), then the MC samples.
+        cards = [tech]
+        if self.use_corners:
+            cards += [corner_technology(c, tech) for c in _CORNERS]
+        self._n_worst = len(cards)  # rows the worst-case constraints span
+        cards += self.sampler.cards(tech)
+        self._tech = tech
+        self._cards = stacked_technology(cards)
 
     # ------------------------------------------------------------- decoding
 
@@ -238,39 +265,24 @@ class IntegratorSizingProblem(Problem):
 
     def _evaluate(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         # Batch-native end to end: the (n, 15) matrix is decoded once
-        # into column views, and every analysis below broadcasts over the
-        # population axis (corner/MC technology cards stack as (k, 1)
-        # leading axes), so one call serves the whole generation.
+        # into column views, and one analysis over the stacked card
+        # (nominal, corner and MC cards as (k, 1) leading axes) serves the
+        # whole generation.
         p = self.decode(x)
         design = self._design_from_params(p)
         s = self.spec
         eps = s.se_max / 2.0
 
-        nominal = analyze_integrator(self.tech, design, settle_epsilon=eps)
+        perf = analyze_integrator(self._cards, design, settle_epsilon=eps)
+        nominal = _card_rows(perf, 0)
+        worst = _card_rows(perf, slice(0, self._n_worst))  # nominal + corners
+        mc = _card_rows(perf, slice(self._n_worst, None))
 
-        if self._corner_tech is not None:
-            corner = analyze_integrator(self._corner_tech, design, settle_epsilon=eps)
-            pm_worst = np.minimum(
-                nominal.phase_margin_deg, corner.phase_margin_deg.min(axis=0)
-            )
-            offset_worst = np.maximum(
-                np.abs(nominal.offset_systematic),
-                np.abs(corner.offset_systematic).max(axis=0),
-            )
-            margin_worst = np.minimum(
-                nominal.min_saturation_margin,
-                corner.min_saturation_margin.min(axis=0),
-            )
-            overdrive_worst = np.minimum(
-                nominal.min_overdrive, corner.min_overdrive.min(axis=0)
-            )
-        else:
-            pm_worst = nominal.phase_margin_deg
-            offset_worst = np.abs(nominal.offset_systematic)
-            margin_worst = nominal.min_saturation_margin
-            overdrive_worst = nominal.min_overdrive
+        pm_worst = worst.phase_margin_deg.min(axis=0)
+        offset_worst = np.abs(worst.offset_systematic).max(axis=0)
+        margin_worst = worst.min_saturation_margin.min(axis=0)
+        overdrive_worst = worst.min_overdrive.min(axis=0)
 
-        mc = analyze_integrator(self._mc_tech, design, settle_epsilon=eps)
         mismatch = self.sampler.mismatch_offsets(
             self.tech.nmos.a_vt, p["w1"], p["l1"]
         )

@@ -19,7 +19,7 @@ every sample against every candidate at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import List, Sequence
 
 import numpy as np
@@ -37,17 +37,31 @@ _SCALAR_DEVICE_FIELDS = (
 )
 
 
+#: The fields a stacked card holds as (k, 1) columns, one row per card.
+#: Every other field is taken from card 0, so the cards must agree on it.
+_STACKED_DEVICE_FIELDS = ("u0", "vt0")
+_UNSTACKED_TECH_FIELDS = tuple(
+    f.name for f in fields(Technology) if f.name not in ("name", "nmos", "pmos")
+)
+_UNSTACKED_DEVICE_FIELDS = tuple(
+    f.name for f in fields(DeviceParams) if f.name not in _STACKED_DEVICE_FIELDS
+)
+
+
 def _check_stackable(techs: Sequence[Technology]) -> None:
     """Validate that *techs* are variants of one device family.
 
     Stacking cards whose devices differ in type (polarity / mobility
-    model) would silently average apples with oranges, and cards whose
+    model) would silently average apples with oranges, cards whose
     "scalar" fields are already arrays (e.g. a previously stacked card)
     would fail much later as an opaque broadcasting error deep inside
-    ``analyze_integrator``.  Fail fast with a clear message instead.
+    ``analyze_integrator``, and cards that differ in a field other than
+    ``u0``/``vt0`` would silently be analysed at card 0's value.  Fail
+    fast with a clear message instead.
     """
     ref = techs[0]
     for i, tech in enumerate(techs):
+        where = f"cannot stack technology cards: card {i} ({tech.name!r})"
         for kind in ("nmos", "pmos"):
             dev = tech.device(kind)
             ref_dev = ref.device(kind)
@@ -56,19 +70,31 @@ def _check_stackable(techs: Sequence[Technology]) -> None:
                 or dev.mobility_exponent != ref_dev.mobility_exponent
             ):
                 raise ValueError(
-                    f"cannot stack technology cards: card {i} "
-                    f"({tech.name!r}) has a different {kind} device type "
+                    f"{where} has a different {kind} device type "
                     f"(polarity/mobility_exponent) than card 0 ({ref.name!r})"
                 )
             for field in _SCALAR_DEVICE_FIELDS:
                 shape = np.shape(getattr(dev, field))
                 if shape != ():
                     raise ValueError(
-                        f"cannot stack technology cards: card {i} "
-                        f"({tech.name!r}) {kind}.{field} has shape {shape}, "
-                        "expected a scalar — stacked cards cannot be "
-                        "re-stacked"
+                        f"{where} {kind}.{field} has shape {shape}, expected "
+                        "a scalar — stacked cards cannot be re-stacked"
                     )
+        differing = [
+            field for field in _UNSTACKED_TECH_FIELDS
+            if getattr(tech, field) != getattr(ref, field)
+        ] + [
+            f"{kind}.{field}"
+            for kind in ("nmos", "pmos")
+            for field in _UNSTACKED_DEVICE_FIELDS
+            if getattr(tech.device(kind), field) != getattr(ref.device(kind), field)
+        ]
+        if differing:
+            raise ValueError(
+                f"{where} differs from card 0 ({ref.name!r}) in "
+                f"{', '.join(differing)}; only u0 and vt0 are stacked, every "
+                "other field would silently take card 0's value"
+            )
 
 
 def stacked_technology(techs: Sequence[Technology]) -> Technology:
@@ -80,9 +106,12 @@ def stacked_technology(techs: Sequence[Technology]) -> Technology:
     All cards must describe the same device family: per device kind the
     polarity and mobility exponent must match card 0, and every
     device-parameter field must be scalar (in particular, a card that is
-    itself the output of ``stacked_technology`` is rejected).  Violations
-    raise :class:`ValueError` here rather than surfacing as broadcasting
-    errors inside ``analyze_integrator``.
+    itself the output of ``stacked_technology`` is rejected).  Only
+    ``u0`` and ``vt0`` are stacked, so the cards must agree on every
+    other field (``vdd``, ``temperature``, ``lambda_l``, ...).  Violations
+    raise :class:`ValueError` naming the field, rather than surfacing as
+    broadcasting errors inside ``analyze_integrator`` or being silently
+    replaced by card 0's value.
     """
     if not techs:
         raise ValueError("need at least one technology to stack")
@@ -171,26 +200,28 @@ class MonteCarloSampler:
             )
         return out
 
+    def cards(self, base: Technology) -> List[Technology]:
+        """One perturbed copy of *base* per sample, in sample order."""
+        return [
+            replace(
+                base,
+                nmos=replace(
+                    base.nmos,
+                    u0=base.nmos.u0 * s.n_mu_factor,
+                    vt0=base.nmos.vt0 + s.n_dvt,
+                ),
+                pmos=replace(
+                    base.pmos,
+                    u0=base.pmos.u0 * s.p_mu_factor,
+                    vt0=base.pmos.vt0 + s.p_dvt,
+                ),
+            )
+            for s in self.samples
+        ]
+
     def stacked(self, base: Technology) -> Technology:
         """All samples as one stacked technology card."""
-        techs = []
-        for s in self.samples:
-            techs.append(
-                replace(
-                    base,
-                    nmos=replace(
-                        base.nmos,
-                        u0=base.nmos.u0 * s.n_mu_factor,
-                        vt0=base.nmos.vt0 + s.n_dvt,
-                    ),
-                    pmos=replace(
-                        base.pmos,
-                        u0=base.pmos.u0 * s.p_mu_factor,
-                        vt0=base.pmos.vt0 + s.p_dvt,
-                    ),
-                )
-            )
-        return stacked_technology(techs)
+        return stacked_technology(self.cards(base))
 
     def mismatch_offsets(
         self, a_vt: float, w1: np.ndarray, l1: np.ndarray

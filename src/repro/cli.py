@@ -90,6 +90,14 @@ from repro.obs.logging import configure_logging
 from repro.obs.spans import format_profile
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _scale_from_args(args: argparse.Namespace) -> Scale:
     scale = Scale.full() if getattr(args, "full", False) else Scale.from_env()
     generations = getattr(args, "generations", None)
@@ -813,7 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate the robustness constraint at the nominal card only "
         "instead of across all process corners",
     )
-    p_run.add_argument("--max-rows", type=int, default=20)
+    p_run.add_argument("--max-rows", type=_positive_int, default=20)
     p_run.add_argument("--json", help="write the front to this JSON file")
     p_run.add_argument(
         "--checkpoint",
@@ -850,7 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_resume.add_argument(
         "--ledger", default=None, help="append trace events to this JSONL file"
     )
-    p_resume.add_argument("--max-rows", type=int, default=20)
+    p_resume.add_argument("--max-rows", type=_positive_int, default=20)
     p_resume.add_argument("--json", help="write the front to this JSON file")
     p_resume.add_argument(
         "--metrics", action="store_true",
@@ -1177,7 +1185,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout", type=float, default=600.0,
         help="--wait budget in seconds (default: 600)",
     )
-    pc_run.add_argument("--max-rows", type=int, default=20)
+    pc_run.add_argument("--max-rows", type=_positive_int, default=20)
     pc_run.add_argument(
         "--json", default=None, help="write the full report to this JSON file"
     )
@@ -1198,7 +1206,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pc_report.add_argument("campaign_id", help="campaign id")
     pc_report.add_argument("--data-dir", default="serve-data")
-    pc_report.add_argument("--max-rows", type=int, default=20)
+    pc_report.add_argument("--max-rows", type=_positive_int, default=20)
     pc_report.add_argument(
         "--json", default=None, help="write the full report to this JSON file"
     )

@@ -111,7 +111,13 @@ def front_rows(
     c_load_max: float = 5.0e-12,
     max_rows: Optional[int] = 20,
 ) -> List[List[float]]:
-    """Rows ``[c_load_pF, power_mW]`` from a (power, deficit) front."""
+    """Rows ``[c_load_pF, power_mW]`` from a (power, deficit) front.
+
+    At most *max_rows* rows (evenly thinned along the load axis), or all
+    of them when *max_rows* is ``None``; *max_rows* must be at least 1.
+    """
+    if max_rows is not None and max_rows < 1:
+        raise ValueError(f"max_rows must be >= 1 or None, got {max_rows}")
     f = np.atleast_2d(np.asarray(front, dtype=float))
     if f.shape[0] == 0:
         return []

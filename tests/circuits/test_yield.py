@@ -77,6 +77,32 @@ class TestStackedTechnology:
         with pytest.raises(ValueError, match="different nmos device type"):
             stacked_technology([base, swapped])
 
+    def test_unstacked_field_mismatch_rejected(self):
+        """Only u0/vt0 are stacked; any other difference must not be
+        silently replaced by card 0's value."""
+        from dataclasses import replace
+
+        base = nominal_technology()
+        derated = replace(
+            base,
+            name="derated",
+            vdd=1.62,
+            nmos=replace(base.nmos, lambda_l=3.0 * base.nmos.lambda_l),
+        )
+        with pytest.raises(ValueError, match=r"in vdd, nmos\.lambda_l;"):
+            stacked_technology([base, derated])
+        hot = replace(base, name="hot", temperature=358.0)
+        with pytest.raises(ValueError, match="card 1 .* in temperature;"):
+            stacked_technology([base, hot])
+
+    def test_corner_and_mc_cards_stack(self):
+        base = nominal_technology()
+        cards = [base, corner_technology("SS", base)]
+        cards += MonteCarloSampler(n_samples=3, seed=1).cards(base)
+        stacked = stacked_technology(cards)
+        assert stacked.nmos.vt0.shape == (5, 1)
+        assert stacked.vdd == base.vdd
+
 
 class TestMonteCarloSampler:
     def test_deterministic_given_seed(self):

@@ -94,3 +94,13 @@ class TestFrontRows:
 
     def test_empty(self):
         assert front_rows(np.zeros((0, 2))) == []
+
+    @pytest.mark.parametrize("max_rows", [0, -3])
+    def test_non_positive_max_rows_rejected(self, max_rows):
+        front = np.array([[1e-3, 1e-12], [2e-3, 2e-12]])
+        with pytest.raises(ValueError, match="max_rows must be >= 1"):
+            front_rows(front, max_rows=max_rows)
+
+    def test_unbounded_rows(self):
+        front = np.column_stack([np.ones(30), np.linspace(0, 5e-12, 30)])
+        assert len(front_rows(front, max_rows=None)) == 30

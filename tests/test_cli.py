@@ -145,6 +145,22 @@ class TestParser:
         assert args.campaign_id == "camp-1"
         assert args.max_rows == 5
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "sacga"],
+            ["resume", "run.ckpt"],
+            ["campaign", "run", "front"],
+            ["campaign", "report", "camp-1"],
+        ],
+    )
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_rows_below_one_rejected(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--max-rows", value])
+        assert exc.value.code == 2
+        assert "--max-rows: must be >= 1" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_spec_ladder(self, capsys):

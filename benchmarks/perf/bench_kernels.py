@@ -1,7 +1,7 @@
 """Microbenchmark harness for the dominance/selection kernel layer.
 
 Times each kernel primitive (non-dominated sort, per-partition local
-ranking, crowded truncation) plus end-to-end NSGA-II generations for
+ranking, crowded truncation, the first-front mask) plus end-to-end NSGA-II generations for
 both the ``blocked`` and ``reference`` kernels, at several population
 sizes, and writes ``BENCH_kernels.json`` at the repo root.
 
@@ -52,6 +52,7 @@ from repro.core.kernels import (
 )
 from repro.core.nsga2 import NSGA2
 from repro.problems.synthetic import ClusteredFeasibility
+from repro.utils.pareto import pareto_mask
 
 KERNELS = ("blocked", "reference")
 DEFAULT_SIZES = (100, 400, 1600)
@@ -65,6 +66,16 @@ def make_inputs(n: int, seed: int = 0):
     viol = np.where(rng.random(n) < 0.25, rng.random(n), 0.0)
     partition = rng.integers(0, N_PARTITIONS, size=n)
     return objs, viol, partition
+
+
+def first_front_mask(objs, viol, kernel: str) -> np.ndarray:
+    """The constrained first-front mask: :func:`pareto_mask` for
+    ``blocked``, the first front of the reference sort for ``reference``."""
+    if kernel == "blocked":
+        return pareto_mask(objs, viol)
+    mask = np.zeros(objs.shape[0], dtype=bool)
+    mask[constrained_fronts(objs, viol, kernel="reference")[0]] = True
+    return mask
 
 
 def best_of(fn: Callable[[], None], repeats: int) -> float:
@@ -93,6 +104,9 @@ def bench_primitives(sizes, repeats: int) -> Dict[str, float]:
             times[f"crowded_truncate/n={n}/{kernel}"] = best_of(
                 lambda: truncate_and_rank(objs, viol, n // 2, kernel=kernel),
                 repeats,
+            )
+            times[f"pareto_mask/n={n}/{kernel}"] = best_of(
+                lambda: first_front_mask(objs, viol, kernel), repeats
             )
     return times
 

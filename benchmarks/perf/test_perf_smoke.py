@@ -41,7 +41,9 @@ def test_bench_writes_json_and_blocked_wins_at_scale(tmp_path):
     times = payload["times_s"]
     ratios = payload["speedup_blocked_over_reference"]
     # Every primitive x size x kernel combination got timed.
-    for prim in ("nds", "local_rank", "crowded_truncate", "nsga2_e2e"):
+    for prim in (
+        "nds", "local_rank", "crowded_truncate", "pareto_mask", "nsga2_e2e"
+    ):
         for n in (64, 256):
             for kernel in ("blocked", "reference"):
                 key = f"{prim}/n={n}/{kernel}"
@@ -51,6 +53,7 @@ def test_bench_writes_json_and_blocked_wins_at_scale(tmp_path):
     # the bound loose (1.0x) so CI machine noise can't flake the job.
     assert ratios["nds/n=256"] > 1.0
     assert ratios["crowded_truncate/n=256"] > 1.0
+    assert ratios["pareto_mask/n=256"] > 1.0
 
 
 def test_bench_baseline_comparison(tmp_path):

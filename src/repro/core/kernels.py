@@ -412,10 +412,16 @@ def constrained_fronts(
         order = np.argsort(v, kind="stable")
         sorted_idx = infeas_idx[order]
         sorted_v = v[order]
-        # Group ties in violation into a single front.
+        # Group ties in violation into a single front.  NaN sorts last and
+        # compares False, so it is split off into its own last front.
+        nan_v = np.isnan(sorted_v)
         start = 0
         for i in range(1, sorted_idx.size + 1):
-            if i == sorted_idx.size or sorted_v[i] > sorted_v[start]:
+            if (
+                i == sorted_idx.size
+                or sorted_v[i] > sorted_v[start]
+                or nan_v[i] != nan_v[start]
+            ):
                 fronts.append(sorted_idx[start:i])
                 start = i
     return fronts
@@ -546,7 +552,10 @@ def local_rank_and_crowd(
         ps = p[order]
         vs = v[order]
         new_group = np.ones(order.size, dtype=bool)
-        new_group[1:] = (ps[1:] != ps[:-1]) | (vs[1:] > vs[:-1])
+        nan_v = np.isnan(vs)  # NaN sorts last and gets its own group
+        new_group[1:] = (
+            (ps[1:] != ps[:-1]) | (vs[1:] > vs[:-1]) | (nan_v[1:] != nan_v[:-1])
+        )
         gid = np.cumsum(new_group) - 1
         part_start = np.ones(order.size, dtype=bool)
         part_start[1:] = ps[1:] != ps[:-1]

@@ -50,7 +50,7 @@ def fast_non_dominated_sort(
     are appended afterwards in layers of equal aggregate violation
     (smaller violation = earlier front), which realizes Deb's
     constrained-dominance ordering without an O(n^2) pass over the
-    infeasible subset.
+    infeasible subset.  NaN violations form their own last front.
     """
     return constrained_fronts(objectives, violations, kernel=kernel)
 

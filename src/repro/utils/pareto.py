@@ -59,48 +59,101 @@ def pareto_mask(
 
     With *violations* supplied, constrained dominance is used: any feasible
     point beats every infeasible one, and infeasible points compete by
-    violation only.
+    violation only (a NaN violation ranks behind every finite one).
 
     Duplicated points are all kept (a point never dominates an exact copy
-    of itself).
-    """
-    objs = np.atleast_2d(np.asarray(objectives, dtype=float))
-    n = objs.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    if violations is None:
-        violations = np.zeros(n)
-    violations = np.asarray(violations, dtype=float).reshape(n)
+    of itself).  A point with a NaN objective neither dominates nor is
+    dominated, so it is always kept among the feasible points.
 
-    feasible = violations <= 0.0
-    mask = np.ones(n, dtype=bool)
+    Raises ``ValueError`` when *objectives* is not 2-D or *violations*
+    does not hold one value per row.
+    """
+    objs = np.asarray(objectives, dtype=float)
+    if objs.ndim != 2:
+        raise ValueError(
+            f"objectives must be 2-D (n_points, n_obj), got shape {objs.shape}"
+        )
+    n = objs.shape[0]
+    if violations is None:
+        return _nondominated(objs)
+    viol = np.asarray(violations, dtype=float)
+    if viol.size != n:
+        raise ValueError(
+            f"violations has shape {viol.shape}, expected one value per row "
+            f"of objectives with shape {objs.shape}"
+        )
+    viol = viol.reshape(n)
+
+    feasible = viol <= 0.0
     if feasible.any():
         # Infeasible points are dominated outright by any feasible point.
-        mask[~feasible] = False
+        mask = np.zeros(n, dtype=bool)
         idx = np.flatnonzero(feasible)
-        sub = objs[idx]
-        keep = _pareto_mask_unconstrained(sub)
-        mask[idx] = keep
-    else:
-        best = violations.min()
-        mask = violations <= best
-    return mask
+        mask[idx] = _nondominated(objs[idx])
+        return mask
+    # All infeasible: the least violation wins; NaN only when nothing else.
+    ranked = ~np.isnan(viol)
+    if not ranked.any():
+        return np.ones(n, dtype=bool)
+    return viol <= viol[ranked].min()
 
 
-def _pareto_mask_unconstrained(objs: np.ndarray) -> np.ndarray:
-    """Non-dominated mask, plain minimization, O(n^2) vectorized by row."""
-    n = objs.shape[0]
+#: Element budget of one ``(B, N, M)`` comparison block (about 1 MB of bools).
+_BLOCK_ELEMENTS = 1 << 20
+
+
+def _nondominated(objs: np.ndarray) -> np.ndarray:
+    """Non-dominated mask, plain minimization: a sweep for ``M <= 2``,
+    a blocked all-pairs comparison otherwise."""
+    n, m = objs.shape
+    if n == 0 or m == 0:
+        return np.ones(n, dtype=bool)
+    if m > 2:
+        return _nondominated_blocked(objs)
+    # NaN rows compare False both ways, so they are kept and sit out the sweep.
     keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not keep[i]:
-            continue
-        # Points dominated by i: <= in all objectives and < in at least one.
-        le = np.all(objs[i] <= objs, axis=1)
-        lt = np.any(objs[i] < objs, axis=1)
-        dominated = le & lt
-        dominated[i] = False
-        keep &= ~dominated
+    rows = np.flatnonzero(~np.isnan(objs).any(axis=1))
+    keep[rows] = ~_dominated_sweep(objs[rows])
     return keep
+
+
+def _dominated_sweep(objs: np.ndarray) -> np.ndarray:
+    """Dominated mask of NaN-free rows with one or two objectives.
+
+    After a lexicographic sort on ``(f1, f2)`` exact duplicates are
+    adjacent and form one group.  Every earlier group is no worse on
+    ``f1`` and differs somewhere, so it dominates a later group exactly
+    when its ``f2`` is no larger: a group is dominated iff the running
+    minimum of ``f2`` over the groups before it is ``<=`` its own ``f2``.
+    With one objective ``f2`` is constant and only the first group (the
+    minima) survives.
+    """
+    f1 = objs[:, 0]
+    f2 = objs[:, 1] if objs.shape[1] == 2 else np.zeros(f1.size)
+    order = np.lexsort((f2, f1))
+    a, b = f1[order], f2[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    group_f2 = b[first]
+    group_dominated = np.zeros(group_f2.size, dtype=bool)
+    group_dominated[1:] = np.minimum.accumulate(group_f2)[:-1] <= group_f2[1:]
+    dominated = np.empty(order.size, dtype=bool)
+    dominated[order] = group_dominated[np.cumsum(first) - 1]
+    return dominated
+
+
+def _nondominated_blocked(objs: np.ndarray) -> np.ndarray:
+    """Non-dominated mask for any ``M`` from broadcast ``(B, N, M)``
+    dominance comparisons, ``B`` rows at a time."""
+    n, m = objs.shape
+    block = max(1, _BLOCK_ELEMENTS // (n * m))
+    dominated = np.zeros(n, dtype=bool)
+    for s in range(0, n, block):
+        blk = objs[s : s + block, None, :]
+        le = (blk <= objs[None, :, :]).all(axis=2)
+        lt = (blk < objs[None, :, :]).any(axis=2)
+        dominated |= (le & lt).any(axis=0)
+    return ~dominated
 
 
 def pareto_filter(

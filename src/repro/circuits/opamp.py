@@ -10,8 +10,11 @@ Topology (fully differential, as used inside the paper's CDS integrator):
 * Cc    — Miller compensation capacitor per side.
 
 The analysis solves the DC operating point of every device from its branch
-current via the eqn (1) model (fixed-point iteration over the coupled
-node voltages), then derives:
+current via the eqn (1) model, one bias solve per device: the two
+devices whose drain voltage depends on their own gate voltage (the
+diode-connected M3 and the input device M1, whose source follows the
+input) are solved with the coupling inside the solve rather than by
+iterating over the node voltages.  It then derives:
 
 * gains A1, A2, A0 and the unity-gain (GBW) frequency ``gm1 / Cc``;
 * the non-dominant output pole and the right-half-plane Miller zero —
@@ -165,19 +168,16 @@ def analyze_opamp(
     s = sizing
     i_half = s.itail / 2.0
 
-    # --- DC operating point (fixed-point over coupled node voltages) ------
-    # M3 (diode-connected PMOS): VSD3 = VSG3.
-    vsg3 = np.full(s.shape, 1.0)
-    for _ in range(3):
-        vsg3 = pmos.vgs_for_current(s.w3, s.l3, i_half, vsg3)
+    # --- DC operating point -------------------------------------------
+    # M3 (diode-connected PMOS): VSD3 = VSG3, solved directly.
+    vsg3 = pmos.vgs_for_current(s.w3, s.l3, i_half, 0.0, vds_offset=0.0)
     v_first = vdd - vsg3  # first-stage output node (balanced)
 
-    # M1: VDS1 = v_first - v_source, v_source = v_cm - VGS1.
-    vgs1 = nmos.vgs_for_current(s.w1, s.l1, i_half, np.full(s.shape, 0.5))
-    for _ in range(3):
-        v_source = v_cm - vgs1
-        vds1 = np.maximum(v_first - v_source, 0.05)
-        vgs1 = nmos.vgs_for_current(s.w1, s.l1, i_half, vds1)
+    # M1: VDS1 = v_first - v_source with v_source = v_cm - VGS1, i.e.
+    # VDS1 = VGS1 + (v_first - v_cm), floored at 0.05 V.
+    vgs1 = nmos.vgs_for_current(
+        s.w1, s.l1, i_half, 0.05, vds_offset=v_first - v_cm
+    )
     v_source = v_cm - vgs1
     vds1 = np.maximum(v_first - v_source, 0.05)
     vds5 = np.maximum(v_source, 0.05)

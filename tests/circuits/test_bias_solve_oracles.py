@@ -1,19 +1,30 @@
-"""Bitwise oracles for the one-bias-solve-per-batch evaluation path.
+"""Oracles for the bias solve and the one-analysis-per-batch evaluation path.
 
-Three exact rewrites sit under ``IntegratorSizingProblem.evaluate_batch``:
+Two rewrites change the arithmetic, so they are checked to a stated
+tolerance:
 
-* ``MosfetModel.vgs_for_current`` hoists ``drain_current``'s
-  VGS-independent factors out of its bisection;
+* ``MosfetModel.vgs_for_current`` is a safeguarded Newton solve.  Its
+  oracle is the 36-step bisection it replaced (eqn (1) evaluated in full
+  at every step): VGS agrees within :data:`VGS_TOL`, the bisection's own
+  resolution of 1.2 V / 2**36 plus rounding, and every
+  ``OpAmpPerformance`` column within :data:`COLUMN_RTOL` (plus
+  :data:`VOLTAGE_ATOL` on columns that are voltages and cross zero).
+* ``analyze_opamp`` solves the diode-connected M3 and the source-coupled
+  M1 directly instead of by fixed-point loops over their drain voltage.
+  The oracle is those loops run to convergence, :data:`FIXED_POINT_PASSES`
+  passes of the bisection; the direct solves agree within
+  :data:`FIXED_POINT_TOL`.
+
+Three exact rewrites sit above the solver, and their oracles are compared
+on the float64 bytes -- never weaken one to ``allclose``.  Both sides of
+those comparisons run the production bias solver, so each still tests
+only its own rewrite:
+
 * ``analyze_integrator`` reads ``cgs1`` from the geometry instead of
   running a first, "rough" op-amp analysis;
 * ``IntegratorSizingProblem._evaluate`` analyses the nominal, corner and
-  Monte-Carlo cards as one stacked card instead of three analyses.
-
-The oracles below are the previous implementations, kept as they were:
-eqn (1) written out in one piece and evaluated in full at every
-bisection step, the two-pass integrator analysis and three analyses per
-batch.  Every comparison is on the
-float64 bytes — never weaken one to ``allclose``.
+  Monte-Carlo cards as one stacked card instead of three analyses;
+* assigning ``problem.tech`` rebuilds that stacked card.
 """
 
 import contextlib
@@ -51,6 +62,21 @@ from repro.circuits.technology import (
 )
 from repro.circuits.yield_est import MonteCarloSampler, stacked_technology
 
+#: |VGS - bisection| bound (V): the bisection stops within 1.2 / 2**37 V
+#: of a root, the Newton solve within 1e-12 V.
+VGS_TOL = 2e-11
+#: |direct - converged fixed point| bound (V) for the coupled M1/M3 solves.
+FIXED_POINT_TOL = 1e-10
+#: Relative bound on every OpAmpPerformance column against the oracles.
+COLUMN_RTOL = 1e-8
+#: Absolute slack (V) on the columns that are voltages: margins,
+#: overdrives and offsets cross zero, where a relative bound means nothing.
+VOLTAGE_ATOL = 1e-10
+VOLTAGE_COLUMNS = {
+    "swing_low", "swing_high", "output_range", "offset_systematic",
+    "vgs", "saturation_margins", "overdrives",
+}
+
 # ----------------------------------------------------------------- oracles
 
 
@@ -68,8 +94,9 @@ def oracle_drain_current(self, w, l, vgs, vds):
     return num / self._mobility_denominator(vgs)
 
 
-def oracle_vgs_for_current(self, w, l, ids, vds, vov_max=1.2, iterations=36):
-    """The bisection with a full drain-current evaluation per step."""
+def oracle_bisection(self, w, l, ids, vds, vov_max=1.2, iterations=36):
+    """The 36-step bisection ``vgs_for_current`` used to be, with a full
+    drain-current evaluation per step."""
     d = self.dev
     w, l, ids, vds = np.broadcast_arrays(
         np.asarray(w, float), np.asarray(l, float),
@@ -86,6 +113,31 @@ def oracle_vgs_for_current(self, w, l, ids, vds, vov_max=1.2, iterations=36):
     return 0.5 * (lo + hi)
 
 
+#: Passes of the fixed-point oracle; the coupling contracts by gds/gm per
+#: pass, so 40 passes are converged to the bisection's resolution.
+FIXED_POINT_PASSES = 40
+
+
+def oracle_fixed_point(self, w, l, ids, vds, vds_offset, passes=FIXED_POINT_PASSES):
+    """A coupled bias point as ``analyze_opamp`` used to find it: bisect
+    VGS at the present VDS, set ``VDS = max(VGS + vds_offset, vds)``, and
+    repeat -- here for *passes* passes instead of the 3 the op-amp ran.
+    Returns the last two iterates."""
+    vgs = oracle_bisection(self, w, l, ids, vds)
+    for _ in range(passes):
+        prev = vgs
+        vgs = oracle_bisection(self, w, l, ids, np.maximum(vgs + vds_offset, vds))
+    return vgs, prev
+
+
+def oracle_vgs_for_current(self, w, l, ids, vds, vov_max=1.2, *, vds_offset=None):
+    """``vgs_for_current`` on the oracles: the bisection, iterated to the
+    fixed point when the drain is coupled to the gate."""
+    if vds_offset is None:
+        return oracle_bisection(self, w, l, ids, vds, vov_max)
+    return oracle_fixed_point(self, w, l, ids, vds, vds_offset)[0]
+
+
 @contextlib.contextmanager
 def oracle_mosfet():
     """Route every drain-current evaluation and bias solve through the
@@ -96,14 +148,13 @@ def oracle_mosfet():
 
 
 def oracle_analyze_integrator(tech, design, settle_epsilon=None):
-    """The two-pass integrator analysis, on the oracle device model."""
+    """The two-pass integrator analysis (on the production bias solver)."""
     if settle_epsilon is None:
         settle_epsilon = 1e-4
-    with oracle_mosfet():
-        rough = analyze_opamp(tech, design.opamp, design.c_load + design.cf)
-        beta = feedback_factor(tech, design, rough.cgs1)
-        c_amp = amplifier_load(tech, design, rough.cgs1, beta)
-        amp = analyze_opamp(tech, design.opamp, c_amp)
+    rough = analyze_opamp(tech, design.opamp, design.c_load + design.cf)
+    beta = feedback_factor(tech, design, rough.cgs1)
+    c_amp = amplifier_load(tech, design, rough.cgs1, beta)
+    amp = analyze_opamp(tech, design.opamp, c_amp)
 
     st_ = settling_time(amp, beta, settle_epsilon)
     se = 1.0 / (1.0 + amp.a0 * beta)
@@ -258,7 +309,23 @@ cards = st.one_of(
 # ------------------------------------------------------------- bias solve
 
 
-class TestHoistedBisection:
+def assert_matches_bisection(model, w, l, ids, vds, got):
+    """*got* is within VGS_TOL of the bisection, except where the
+    bisection took a larger root than the smallest one (it can, for
+    targets near the peak current of a short NMOS): there *got* must be
+    a smaller crossing."""
+    want = oracle_bisection(model, w, l, ids, vds)
+    got, want = np.broadcast_arrays(got, want)
+    shape = got.shape
+    w, l, ids, vds = (np.broadcast_to(a, shape) for a in (w, l, ids, vds))
+    off = np.abs(got - want) > VGS_TOL
+    if off.any():
+        assert np.all(got[off] < want[off]), "Newton root above the bisection's"
+        crossing = model.drain_current(w, l, got + VGS_TOL, vds)
+        assert np.all(crossing[off] >= ids[off]), "Newton root is not a crossing"
+
+
+class TestNewtonAgainstBisection:
     @settings(max_examples=60, deadline=None)
     @given(
         tech=cards,
@@ -296,24 +363,137 @@ class TestHoistedBisection:
         if n == 0:
             w, l, ids, vds = float(w), float(l), float(ids), float(vds)
         model = MosfetModel(tech.device(kind))
-        assert_same_bits(
-            model.vgs_for_current(w, l, ids, vds),
-            oracle_vgs_for_current(model, w, l, ids, vds),
-            "vgs",
-        )
+        got = model.vgs_for_current(w, l, ids, vds)
+        assert np.shape(got) == np.shape(oracle_bisection(model, w, l, ids, vds))
+        assert_matches_bisection(model, w, l, ids, vds, got)
 
     def test_matches_at_clamp_and_bracket_edge(self):
         """Short, narrow devices driven hard: the velocity factor clamps
-        inside the bracket and the top target is out of reach."""
+        inside the bisection's bracket and the top target is out of reach."""
         model = MosfetModel(nominal_technology().nmos)
         w = np.array([2e-6, 2e-6, 400e-6, 2e-6])
         l = np.array([0.18e-6, 0.18e-6, 2e-6, 2e-6])
         ids = np.array([6e-4, 2e-4, 5e-6, 1e-3])
         vds = np.array([0.05, 0.9, 1.8, 0.05])
         vgs = model.vgs_for_current(w, l, ids, vds)
-        assert_same_bits(vgs, oracle_vgs_for_current(model, w, l, ids, vds), "vgs")
-        assert model.velocity_headroom(vgs[0], l[0]) < MIN_VSAT_FACTOR
-        assert vgs[0] == pytest.approx(model.dev.vt0 + 1.2, abs=1e-9)  # unreachable
+        want = oracle_bisection(model, w, l, ids, vds)
+        assert np.all(np.abs(vgs - want) <= VGS_TOL)
+        assert model.velocity_headroom(want[0], l[0]) < MIN_VSAT_FACTOR
+        assert vgs[0] == model.dev.vt0 + 1.2  # unreachable: the bracket edge
+        assert vgs[3] == model.dev.vt0 + 1.2
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        tech=cards,
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 8),
+        c_load=st.floats(0.1e-12, 5e-12),
+    )
+    def test_opamp_columns_within_tolerance(self, tech, seed, n, c_load):
+        """Every OpAmpPerformance column against the analysis run on the
+        bisection and the converged fixed-point loops (interior designs:
+        near the box corners the loops need not converge, see
+        TestDirectFixedPointSolves)."""
+        sizing = IntegratorSizingProblem.build_design(design_batch(seed, n, 0.0)).opamp
+        got = analyze_opamp(tech, sizing, c_load)
+        with oracle_mosfet():
+            want = analyze_opamp(tech, sizing, c_load)
+        for f in fields(OpAmpPerformance):
+            g, w = getattr(got, f.name), getattr(want, f.name)
+            atol = VOLTAGE_ATOL if f.name in VOLTAGE_COLUMNS else 0.0
+            pairs = [(f"{f.name}[{k}]", g[k], w[k]) for k in w] if isinstance(w, dict) \
+                else [(f.name, g, w)]
+            for label, gv, wv in pairs:
+                gv, wv = np.broadcast_arrays(gv, wv)
+                bound = COLUMN_RTOL * np.abs(wv) + atol
+                assert np.all(np.abs(gv - wv) <= bound), label
+
+
+# ------------------------------------------------------ direct coupled solves
+
+
+def first_stage_bias(tech, sizing):
+    """The M3 and M1 bias-solve inputs of ``analyze_opamp``: (model, w,
+    l, ids, floor, vds_offset) for each, with M1's offset from the direct
+    M3 solve."""
+    s = sizing
+    nmos, pmos = MosfetModel(tech.nmos), MosfetModel(tech.pmos)
+    i_half = s.itail / 2.0
+    vsg3 = pmos.vgs_for_current(s.w3, s.l3, i_half, 0.0, vds_offset=0.0)
+    v_first_minus_cm = (tech.vdd - vsg3) - tech.vdd / 2.0
+    return (
+        (pmos, s.w3, s.l3, i_half, 0.0, 0.0),
+        (nmos, s.w1, s.l1, i_half, 0.05, v_first_minus_cm),
+    )
+
+
+class TestDirectFixedPointSolves:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        tech=cards,
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 10),
+        corner_frac=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_match_converged_loops(self, tech, seed, n, corner_frac):
+        """Where the fixed-point loop converges, the direct solve lands on
+        its fixed point.  Where it does not (it can cycle between a root
+        and the bracket edge when the target is near a short device's peak
+        current), the direct solve still returns a root of the coupled
+        equation or the bracket edge."""
+        sizing = IntegratorSizingProblem.build_design(
+            np.vstack([design_batch(seed, n, corner_frac), edge_designs()])
+        ).opamp
+        for model, w, l, ids, floor, offset in first_stage_bias(tech, sizing):
+            got = model.vgs_for_current(w, l, ids, floor, vds_offset=offset)
+            want, prev = oracle_fixed_point(model, w, l, ids, floor, offset)
+            converged = np.abs(want - prev) <= VGS_TOL
+            assert np.all(np.abs(got - want)[converged] <= FIXED_POINT_TOL)
+            if corner_frac == 0.0:
+                assert converged.all()
+            edge = got == np.asarray(model.dev.vt0) + 1.2
+            vds = np.maximum(got + offset, floor)
+            current = model.drain_current(w, l, got, vds)
+            ids_b = np.broadcast_to(ids, got.shape)
+            root = np.abs(current - ids_b) <= 1e-9 * ids_b
+            assert np.all((root | edge)[~converged])
+
+    def test_m3_always_converges(self):
+        """The diode-connected load is a contraction everywhere in the
+        box, so its oracle covers every design."""
+        tech = stacked_technology([corner_technology(c) for c in CORNERS])
+        sizing = IntegratorSizingProblem.build_design(
+            np.vstack([design_batch(3, 40, 1.0), design_batch(4, 40, 0.3)])
+        ).opamp
+        (model, w, l, ids, floor, offset), _ = first_stage_bias(tech, sizing)
+        got = model.vgs_for_current(w, l, ids, floor, vds_offset=offset)
+        want, prev = oracle_fixed_point(model, w, l, ids, floor, offset)
+        assert np.all(np.abs(want - prev) <= VGS_TOL)
+        assert np.all(np.abs(got - want) <= FIXED_POINT_TOL)
+
+    def test_m1_floor_binds(self):
+        """Designs where M1's 0.05 V drain floor binds at the solution:
+        the floor sits inside the residual, and the solve still matches
+        the converged loop."""
+        tech = stacked_technology([corner_technology(c) for c in CORNERS])
+        sizing = IntegratorSizingProblem.build_design(
+            np.vstack([design_batch(s, 40, 0.3) for s in range(3)])
+        ).opamp
+        _, (model, w, l, ids, floor, offset) = first_stage_bias(tech, sizing)
+        got = model.vgs_for_current(w, l, ids, floor, vds_offset=offset)
+        want, prev = oracle_fixed_point(model, w, l, ids, floor, offset)
+        binds = (want + offset < floor) & (np.abs(want - prev) <= VGS_TOL)
+        assert binds.sum() >= 10
+        assert np.all(np.abs(got - want)[binds] <= FIXED_POINT_TOL)
+
+    def test_five_bias_solves_per_analysis(self):
+        design = IntegratorSizingProblem.build_design(edge_designs())
+        with mock.patch.object(
+            MosfetModel, "vgs_for_current", autospec=True,
+            side_effect=MosfetModel.vgs_for_current,
+        ) as spy:
+            analyze_opamp(nominal_technology(), design.opamp, design.c_load)
+        assert spy.call_count == 5
 
 
 # ------------------------------------------------------ integrator analysis

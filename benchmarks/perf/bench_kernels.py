@@ -1,9 +1,11 @@
 """Microbenchmark harness for the dominance/selection kernel layer.
 
 Times each kernel primitive (non-dominated sort, per-partition local
-ranking, crowded truncation, the first-front mask) plus end-to-end NSGA-II generations for
-both the ``blocked`` and ``reference`` kernels, at several population
-sizes, and writes ``BENCH_kernels.json`` at the repo root.
+ranking, crowded truncation, the first-front mask) plus end-to-end
+NSGA-II generations, on the production kernels (``blocked``) and on the
+reference-loop oracles of ``tests/core/kernel_oracles.py``
+(``reference``), at several population sizes, and writes
+``BENCH_kernels.json`` at the repo root.
 
 Usage::
 
@@ -14,7 +16,7 @@ Usage::
 Numbers are best-of-``--repeats`` wall times (``time.perf_counter``),
 which is robust to scheduler noise for CI-scale inputs.  The JSON holds
 both raw seconds and, for each (primitive, size), the ``speedup`` of
-blocked over reference — a machine-independent ratio.  With
+production over the oracle — a machine-independent ratio.  With
 ``--baseline``, the run fails (exit 1) when any overlapping speedup
 ratio regresses by more than ``--max-regression`` (default 20%);
 comparing ratios rather than seconds makes the check portable across
@@ -37,6 +39,7 @@ with::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -45,16 +48,17 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from repro.core.kernels import (
-    constrained_fronts,
-    local_rank_and_crowd,
-    truncate_and_rank,
-)
+from repro.core import kernels
 from repro.core.nsga2 import NSGA2
 from repro.problems.synthetic import ClusteredFeasibility
 from repro.utils.pareto import pareto_mask
 
-KERNELS = ("blocked", "reference")
+REPO = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(REPO))  # the oracles live in tests/, not in src/
+from tests.core import kernel_oracles as oracle  # noqa: E402
+
+#: The timed sides: production kernels and the reference-loop oracles.
+KERNELS = {"blocked": kernels, "reference": oracle}
 DEFAULT_SIZES = (100, 400, 1600)
 N_PARTITIONS = 16
 
@@ -70,11 +74,11 @@ def make_inputs(n: int, seed: int = 0):
 
 def first_front_mask(objs, viol, kernel: str) -> np.ndarray:
     """The constrained first-front mask: :func:`pareto_mask` for
-    ``blocked``, the first front of the reference sort for ``reference``."""
+    ``blocked``, the first front of the oracle sort for ``reference``."""
     if kernel == "blocked":
         return pareto_mask(objs, viol)
     mask = np.zeros(objs.shape[0], dtype=bool)
-    mask[constrained_fronts(objs, viol, kernel="reference")[0]] = True
+    mask[oracle.constrained_fronts(objs, viol)[0]] = True
     return mask
 
 
@@ -91,18 +95,18 @@ def bench_primitives(sizes, repeats: int) -> Dict[str, float]:
     times: Dict[str, float] = {}
     for n in sizes:
         objs, viol, partition = make_inputs(n)
-        for kernel in KERNELS:
+        for kernel, impl in KERNELS.items():
             times[f"nds/n={n}/{kernel}"] = best_of(
-                lambda: constrained_fronts(objs, viol, kernel=kernel), repeats
+                lambda: impl.constrained_fronts(objs, viol), repeats
             )
             times[f"local_rank/n={n}/{kernel}"] = best_of(
-                lambda: local_rank_and_crowd(
-                    objs, viol, partition, N_PARTITIONS, kernel=kernel
+                lambda: impl.local_rank_and_crowd(
+                    objs, viol, partition, N_PARTITIONS
                 ),
                 repeats,
             )
             times[f"crowded_truncate/n={n}/{kernel}"] = best_of(
-                lambda: truncate_and_rank(objs, viol, n // 2, kernel=kernel),
+                lambda: impl.truncate_and_rank(objs, viol, n // 2),
                 repeats,
             )
             times[f"pareto_mask/n={n}/{kernel}"] = best_of(
@@ -116,18 +120,21 @@ def bench_end_to_end(sizes, repeats: int, generations: int) -> Dict[str, float]:
     for n in sizes:
         problem = ClusteredFeasibility(n_var=8)
         for kernel in KERNELS:
-
-            def run_once():
-                NSGA2(
-                    problem, population_size=n, seed=7, kernel=kernel
-                ).run(generations)
-
-            times[f"nsga2_e2e/n={n}/{kernel}"] = best_of(run_once, repeats)
+            patched = (
+                oracle.oracle_kernels()
+                if kernel == "reference"
+                else contextlib.nullcontext()
+            )
+            with patched:
+                times[f"nsga2_e2e/n={n}/{kernel}"] = best_of(
+                    lambda: NSGA2(problem, population_size=n, seed=7).run(generations),
+                    repeats,
+                )
     return times
 
 
 def speedups(times: Dict[str, float]) -> Dict[str, float]:
-    """blocked-over-reference ratio per (primitive, size); >1 is faster."""
+    """production-over-oracle ratio per (primitive, size); >1 is faster."""
     out: Dict[str, float] = {}
     for key, t_blocked in times.items():
         if not key.endswith("/blocked"):
@@ -176,7 +183,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--output", type=Path,
-        default=Path(__file__).resolve().parents[2] / "BENCH_kernels.json",
+        default=REPO / "BENCH_kernels.json",
         help="where to write the results JSON (default: repo root)",
     )
     parser.add_argument(

@@ -74,7 +74,6 @@ from typing import List, Optional
 
 from repro.circuits.specs import spec_ladder
 from repro.core.evaluation import BACKEND_NAMES
-from repro.core.kernels import KERNEL_NAMES
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.ledger import (
     format_event,
@@ -177,7 +176,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         backend=args.backend,
         workers=args.workers,
         cache_size=args.cache_size,
-        kernel=args.kernel,
         use_corners=not args.no_corners,
         mc_seed=args.mc_seed,
         checkpoint_path=args.checkpoint,
@@ -791,20 +789,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluation backend (default: serial)",
     )
     p_run.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_positive_int, default=None,
         help="worker count for thread/process/shm backends "
              "(default: available cores - 1, respecting CPU affinity)",
     )
     p_run.add_argument(
-        "--cache-size", type=int, default=None,
+        "--cache-size", type=_positive_int, default=None,
         help="wrap the backend in an LRU evaluation cache of this many designs",
-    )
-    p_run.add_argument(
-        "--kernel",
-        choices=list(KERNEL_NAMES),
-        default=None,
-        help="dominance/selection kernel (default: blocked; "
-        "bit-identical results either way)",
     )
     p_run.add_argument(
         "--n-mc", type=int, default=None,
@@ -1055,11 +1046,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluation backend for the job (default: serial)",
     )
     p_submit.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_positive_int, default=None,
         help="worker count for pool backends (default: available cores - 1)",
     )
     p_submit.add_argument(
-        "--cache-size", type=int, default=None,
+        "--cache-size", type=_positive_int, default=None,
         help="wrap the job's backend in an LRU evaluation cache",
     )
     p_submit.add_argument(
@@ -1163,7 +1154,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluation backend for shard evaluation (default: serial)",
     )
     pc_run.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_positive_int, default=None,
         help="worker count for pool backends",
     )
     pc_run.add_argument(

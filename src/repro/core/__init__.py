@@ -23,9 +23,6 @@ from repro.core.evaluation import (
     make_backend,
 )
 from repro.core.kernels import (
-    KERNEL_NAMES,
-    get_default_kernel,
-    set_default_kernel,
     local_rank_and_crowd,
     rank_and_crowd,
     truncate_and_rank,
@@ -82,9 +79,6 @@ __all__ = [
     "assign_ranks",
     "crowding_distance",
     "crowded_truncate",
-    "KERNEL_NAMES",
-    "get_default_kernel",
-    "set_default_kernel",
     "local_rank_and_crowd",
     "rank_and_crowd",
     "truncate_and_rank",

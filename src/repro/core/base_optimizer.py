@@ -30,7 +30,6 @@ from repro.core.callbacks import CallbackList, HistoryRecorder, ProgressCallback
 from repro.core.checkpoint import CHECKPOINT_VERSION, load_checkpoint
 from repro.core.evaluation import EvaluationBackend, SerialBackend
 from repro.core.individual import Population
-from repro.core.kernels import resolve_kernel
 from repro.core.operators import PolynomialMutation, SBXCrossover
 from repro.core.results import OptimizationResult, extract_feasible_front
 from repro.obs.registry import NULL_METRICS
@@ -59,13 +58,6 @@ class BaseOptimizer:
         behavior).  Backends are semantics-preserving — the choice
         affects wall time and the stats echoed into result metadata,
         never the optimization trajectory.
-    kernel:
-        Dominance/selection kernel (``"blocked"`` or ``"reference"``,
-        see :mod:`repro.core.kernels`); ``None`` uses the process
-        default.  Kernels are semantics-preserving: both produce
-        bit-identical fronts, so the choice is deliberately *not*
-        echoed into result metadata — serialized results stay
-        byte-comparable across kernels.
     metrics:
         A :class:`repro.obs.registry.MetricsRegistry` receiving
         evaluation counters and latency histograms; ``None`` (the
@@ -91,7 +83,6 @@ class BaseOptimizer:
         mutation: Optional[PolynomialMutation] = None,
         seed: RngLike = None,
         backend: Optional[EvaluationBackend] = None,
-        kernel: Optional[str] = None,
         metrics=None,
         tracer=None,
     ) -> None:
@@ -105,7 +96,6 @@ class BaseOptimizer:
         self.mutation = mutation or PolynomialMutation()
         self.rng = as_rng(seed)
         self.backend = backend or SerialBackend()
-        self.kernel = resolve_kernel(kernel)
         self.metrics = NULL_METRICS if metrics is None else metrics
         self.tracer = NULL_TRACER if tracer is None else tracer
         # Instrument handles and span names are fixed at construction so

@@ -257,7 +257,7 @@ class _PoolBackend(EvaluationBackend):
         chunk_size: Optional[int] = None,
     ) -> None:
         super().__init__()
-        self.n_workers = int(n_workers) if n_workers else default_workers()
+        self.n_workers = default_workers() if n_workers is None else int(n_workers)
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
         if chunk_size is not None and chunk_size < 1:

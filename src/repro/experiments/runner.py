@@ -122,7 +122,6 @@ def make_algorithm(
     config: Optional[SACGAConfig] = None,
     generations: Optional[int] = None,
     backend: Optional[EvaluationBackend] = None,
-    kernel: Optional[str] = None,
     metrics=None,
     tracer=None,
 ):
@@ -134,8 +133,6 @@ def make_algorithm(
     reduced-scale runs keep the paper's phase proportions.  *backend*
     (an :class:`repro.core.evaluation.EvaluationBackend`) selects how
     fitness batches are evaluated; ``None`` keeps the serial default.
-    *kernel* selects the dominance/selection kernel
-    (``"blocked"``/``"reference"``; both are bit-identical in output).
     *metrics* / *tracer* (a :class:`repro.obs.MetricsRegistry` /
     :class:`repro.obs.SpanTracer`) enable instrumentation; ``None`` keeps
     the no-op defaults.
@@ -150,7 +147,6 @@ def make_algorithm(
             population_size=scale.population,
             seed=seed,
             backend=backend,
-            kernel=kernel,
             metrics=metrics,
             tracer=tracer,
         )
@@ -163,7 +159,6 @@ def make_algorithm(
             seed=seed,
             config=config,
             backend=backend,
-            kernel=kernel,
             metrics=metrics,
             tracer=tracer,
         )
@@ -178,7 +173,6 @@ def make_algorithm(
             seed=seed,
             config=config,
             backend=backend,
-            kernel=kernel,
             metrics=metrics,
             tracer=tracer,
         )
@@ -234,7 +228,6 @@ def run_one(
     backend: Optional[str] = None,
     workers: Optional[int] = None,
     cache_size: Optional[int] = None,
-    kernel: Optional[str] = None,
     use_corners: bool = True,
     mc_seed: int = 2005,
     checkpoint_path: Optional[str] = None,
@@ -255,8 +248,7 @@ def run_one(
     (``"serial"`` / ``"thread"`` / ``"process"`` / ``"shm"``), *workers*
     and *cache_size* configure the evaluation backend; the pool — and,
     for ``"shm"``, its shared-memory arenas — is shut down once the run
-    finishes.  *kernel* picks the dominance/selection
-    kernel (``"blocked"``/``"reference"``) — a pure speed knob.
+    finishes.
 
     Robustness knobs:
 
@@ -307,7 +299,7 @@ def run_one(
     eval_backend = make_backend(backend, workers=workers, cache_size=cache_size)
     algorithm = make_algorithm(
         name, problem, scale, seed, generations=gens, backend=eval_backend,
-        kernel=kernel, metrics=registry, tracer=tracer, **algo_kwargs,
+        metrics=registry, tracer=tracer, **algo_kwargs,
     )
     telemetry = None
     if registry is not None:
@@ -342,7 +334,6 @@ def run_one(
             "backend": backend,
             "workers": workers,
             "cache_size": cache_size,
-            "kernel": kernel,
             "use_corners": use_corners,
             "mc_seed": mc_seed,
             "checkpoint_every": checkpoint_every,
@@ -447,6 +438,8 @@ def resume_run(
     Checkpointing continues to the same file.  *callbacks* are appended
     to the resumed run exactly as in :func:`run_one` — the service-layer
     workers use this to keep cancellation cooperative across a resume.
+    Context keys this version does not read (such as the ``kernel`` that
+    older checkpoints carry) are ignored.
     """
     payload = load_checkpoint(checkpoint_path)
     context = payload.get("context")
@@ -465,7 +458,6 @@ def resume_run(
         backend=context["backend"],
         workers=context["workers"],
         cache_size=context["cache_size"],
-        kernel=context["kernel"],
         use_corners=context.get("use_corners", True),
         mc_seed=context.get("mc_seed", 2005),
         checkpoint_path=checkpoint_path,

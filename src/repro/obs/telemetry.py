@@ -13,7 +13,7 @@ and a tidy per-generation sample table:
   starve during Phase II),
 * feasibility ratio, global front size, archive size,
 * backend cache hit rate and evaluation counters,
-* kernel dispatch counts.
+* kernel call counts.
 
 Everything is *read* from state the optimizer already computed — the
 callback never mutates the optimizer, never touches its RNG, and
@@ -74,8 +74,8 @@ class TelemetryCallback:
         ``observe`` callback must still be attached separately (this
         callback only reads it).
     kernel_counts:
-        Optional zero-arg callable returning cumulative kernel dispatch
-        counts as ``{"fn/kernel": n}`` (see
+        Optional zero-arg callable returning cumulative kernel call
+        counts as ``{"fn": n}`` (see
         :func:`repro.core.kernels.kernel_call_counts`).  Passed in as a
         callable so this module stays import-independent of the core.
     """
@@ -193,8 +193,8 @@ class TelemetryCallback:
         )
         self._c_kernel_calls = registry.counter(
             "repro_kernel_calls_total",
-            "Dominance/selection kernel dispatches",
-            labels=("fn", "kernel"),
+            "Dominance/selection kernel calls",
+            labels=("fn",),
         )
 
     # ------------------------------------------------------------- sampling
@@ -360,11 +360,10 @@ class TelemetryCallback:
             return
         counts = self._kernel_counts()
         total_delta = 0
-        for key, count in counts.items():
-            delta = int(count) - self._kernel_prev.get(key, 0)
+        for fn, count in counts.items():
+            delta = int(count) - self._kernel_prev.get(fn, 0)
             if delta > 0:
-                fn, _, kernel = key.partition("/")
-                self._c_kernel_calls.labels(fn=fn, kernel=kernel).inc(delta)
+                self._c_kernel_calls.labels(fn=fn).inc(delta)
                 total_delta += delta
         self._kernel_prev = dict(counts)
         if total_delta:

@@ -107,7 +107,6 @@ JOB_PARAMS = frozenset(
         "backend",
         "workers",
         "cache_size",
-        "kernel",
         "surface",
         "timeout_s",
         "checkpoint_every",

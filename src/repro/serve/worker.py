@@ -408,7 +408,6 @@ class WorkerLoop:
             backend=params.get("backend"),
             workers=params.get("workers"),
             cache_size=params.get("cache_size"),
-            kernel=params.get("kernel"),
             ledger=ledger,
             timeout_s=params.get("timeout_s"),
             callbacks=[token],

@@ -8,6 +8,7 @@ byte level and this file fails first.  Timing fields are stripped via
 exactly.
 """
 
+import contextlib
 import hashlib
 import json
 from pathlib import Path
@@ -35,6 +36,7 @@ from repro.obs.spans import SpanTracer
 from repro.obs.telemetry import TelemetryCallback
 from repro.problems.synthetic import ClusteredFeasibility
 from repro.utils.serialization import result_to_dict, save_result
+from tests.core.kernel_oracles import oracle_kernels
 
 POP = 16
 GENS = 5
@@ -43,7 +45,7 @@ SEED = 1234
 ALL_ALGOS = ["nsga2", "sacga", "mesacga", "islands"]
 
 
-def build(name, backend=None, problem=None, kernel=None, metrics=None, tracer=None):
+def build(name, backend=None, problem=None, metrics=None, tracer=None):
     if problem is None:
         problem = ClusteredFeasibility(n_var=4)
     high = 1.0
@@ -53,25 +55,25 @@ def build(name, backend=None, problem=None, kernel=None, metrics=None, tracer=No
     if name == "nsga2":
         return NSGA2(
             problem, population_size=POP, seed=SEED, backend=backend,
-            kernel=kernel, metrics=metrics, tracer=tracer,
+            metrics=metrics, tracer=tracer,
         )
     if name == "sacga":
         grid = PartitionGrid(axis=1, low=0.0, high=high, n_partitions=4)
         return SACGA(
             problem, grid, population_size=POP, seed=SEED,
-            config=config, backend=backend, kernel=kernel,
+            config=config, backend=backend,
             metrics=metrics, tracer=tracer,
         )
     if name == "mesacga":
         return MESACGA(
             problem, axis=1, low=0.0, high=high, partition_schedule=(4, 2, 1),
             population_size=POP, seed=SEED, config=config, backend=backend,
-            kernel=kernel, metrics=metrics, tracer=tracer,
+            metrics=metrics, tracer=tracer,
         )
     if name == "islands":
         return IslandNSGA2(
             problem, population_size=POP, n_islands=2, migration_interval=2,
-            seed=SEED, backend=backend, kernel=kernel,
+            seed=SEED, backend=backend,
             metrics=metrics, tracer=tracer,
         )
     raise KeyError(name)
@@ -185,32 +187,6 @@ def test_include_timing_strips_wall_clock_fields():
     assert all("eval_time_s" not in rec["extras"] for rec in without["history"])
 
 
-@pytest.mark.parametrize("algo", ["nsga2", "sacga", "mesacga"])
-def test_blocked_and_reference_kernels_serialize_byte_identical(algo):
-    """The kernel switch is a pure speed knob: full serialized payloads —
-    fronts, per-generation history, metadata — match at the byte level.
-    (The kernel is deliberately not echoed into result metadata so this
-    comparison needs no field stripping.)"""
-    blocked = serialized(build(algo, kernel="blocked").run(GENS))
-    reference = serialized(build(algo, kernel="reference").run(GENS))
-    assert blocked == reference
-
-
-@pytest.mark.parametrize("algo", ["nsga2", "sacga", "mesacga"])
-def test_kernels_byte_identical_on_integrator_problem(algo):
-    """Same contract on the real circuit-sizing problem (constraints,
-    Monte-Carlo evaluation, physical partition range)."""
-    blocked = serialized(
-        build(algo, problem=IntegratorSizingProblem(n_mc=2), kernel="blocked").run(GENS)
-    )
-    reference = serialized(
-        build(
-            algo, problem=IntegratorSizingProblem(n_mc=2), kernel="reference"
-        ).run(GENS)
-    )
-    assert blocked == reference
-
-
 # --------------------------------------------------------------- golden fronts
 #
 # tests/core/golden_fronts.json pins sha256 hashes of the serialized runs
@@ -218,7 +194,10 @@ def test_kernels_byte_identical_on_integrator_problem(algo):
 # evaluate_one split, CachedBackend key canonicalization, and the circuit
 # model routing changes).  Matching these hashes proves the refactor is
 # byte-invisible to every optimizer on both a synthetic and the real
-# sizing problem.  Regenerate ONLY for an intentional trajectory change:
+# sizing problem.  The same hashes pin the reference-loop oracles in
+# kernel_oracles.py: replayed through every optimizer, they must
+# reproduce production byte for byte.  Regenerate ONLY for an
+# intentional trajectory change:
 #
 #     PYTHONPATH=src python tests/core/test_determinism_regression.py --regen
 
@@ -230,9 +209,8 @@ GOLDEN_PROBLEMS = {
 }
 
 
-def golden_run(algo, problem_key, backend=None, kernel=None):
-    return build(algo, backend=backend, problem=GOLDEN_PROBLEMS[problem_key](),
-                 kernel=kernel).run(GENS)
+def golden_run(algo, problem_key, backend=None):
+    return build(algo, backend=backend, problem=GOLDEN_PROBLEMS[problem_key]()).run(GENS)
 
 
 def golden_digest(result):
@@ -251,9 +229,15 @@ def load_golden():
 @pytest.mark.parametrize("kernel", ["blocked", "reference"])
 def test_golden_fronts_all_algorithms_both_kernels(algo, problem_key, kernel):
     """All four optimizers reproduce the pre-refactor goldens byte-for-byte
-    under the serial backend with either NDS kernel."""
+    under the serial backend, on the production kernels and with the
+    reference-loop oracles patched in (so the oracles stay pinned too)."""
     want = load_golden()[f"{algo}/{problem_key}"]
-    got = golden_digest(golden_run(algo, problem_key, SerialBackend(), kernel))
+    oracle = oracle_kernels() if kernel == "reference" else contextlib.nullcontext()
+    calls_before = kernel_call_counts()
+    with oracle:
+        got = golden_digest(golden_run(algo, problem_key, SerialBackend()))
+    # Guard against the oracle leg silently running production kernels.
+    assert (kernel_call_counts() == calls_before) == (kernel == "reference")
     assert got == want, (
         f"{algo}/{problem_key} (kernel={kernel}) diverged from the "
         f"pre-refactor golden: {got} != {want}"

@@ -519,6 +519,14 @@ def test_invalid_backend_parameters():
         CachedBackend(max_size=0)
 
 
+@pytest.mark.parametrize("name", ["thread", "process", "shm"])
+def test_make_backend_rejects_zero_workers(name):
+    # Regression: workers=0 used to be read as "unset" and silently ran
+    # with default_workers() workers.
+    with pytest.raises(ValueError, match="n_workers must be >= 1, got 0"):
+        make_backend(name, workers=0)
+
+
 def test_make_backend_rejects_nonpositive_cache_size():
     # Regression: cache_size=0 used to silently build an uncached
     # backend, masking a misconfigured sweep.

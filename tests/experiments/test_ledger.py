@@ -510,6 +510,29 @@ class TestResumeRun:
         assert serialized(resumed.result) == serialized(baseline.result)
         assert resumed.seed == baseline.seed
 
+    def test_checkpoint_with_dropped_kernel_key_resumes_byte_identical(
+        self, tmp_path
+    ):
+        # Checkpoints written before the kernel switch was removed carry
+        # "kernel" in the runner context and on the pickled partition
+        # view; resume ignores both.
+        from repro.core.checkpoint import load_checkpoint, save_checkpoint
+
+        ckpt = tmp_path / "run.ckpt"
+        baseline = run_one("sacga", "resume-test", scale=TINY, n_partitions=4)
+        with pytest.raises(Boom):
+            run_one(
+                "sacga", "resume-test", scale=TINY, n_partitions=4,
+                checkpoint_path=str(ckpt), checkpoint_every=2,
+                callbacks=[KillAt(3)],
+            )
+        payload = load_checkpoint(str(ckpt))
+        payload["context"]["kernel"] = "reference"
+        payload["loop_state"]["parted"].kernel = "reference"
+        save_checkpoint(payload, ckpt)
+        resumed = resume_run(str(ckpt))
+        assert serialized(resumed.result) == serialized(baseline.result)
+
     def test_resume_emits_resumed_flag_and_checkpoints_onward(self, tmp_path):
         ckpt = tmp_path / "run.ckpt"
         path = tmp_path / "trace.jsonl"

@@ -99,6 +99,24 @@ class TestGateProbabilityFidelity:
         assert exposed + rejected == pytest.approx(considered)
 
 
+def test_kernel_calls_counted_per_function():
+    registry = MetricsRegistry()
+    algo, telemetry = instrumented_sacga(registry)
+    algo.run(GENS)
+    (samples,) = [
+        samples
+        for name, _, _, samples in registry.collect()
+        if name == "repro_kernel_calls_total"
+    ]
+    by_fn = {labels["fn"]: counter.value for labels, counter in samples}
+    assert all(set(labels) == {"fn"} for labels, _ in samples)
+    assert by_fn["local_rank_and_crowd"] > 0
+    assert by_fn["constrained_fronts"] > 0
+    assert sum(v for g, n, v in telemetry.samples if n == "kernel_calls") == sum(
+        by_fn.values()
+    )
+
+
 # ------------------------------------------- hot-loop registry isolation
 
 

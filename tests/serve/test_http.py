@@ -131,6 +131,22 @@ class TestRouting:
         finally:
             app.manager.shutdown()
 
+    def test_dropped_kernel_parameter_rejected(self, tmp_path):
+        app = make_app(tmp_path)
+        try:
+            with pytest.raises(ValueError, match="unknown job parameters"):
+                app.manager.submit({"algorithm": "sacga", "kernel": "blocked"})
+            status, payload = body_json(
+                app.handle(
+                    "POST", "/jobs", b'{"algorithm": "sacga", "kernel": "blocked"}'
+                )
+            )
+            assert status == 400
+            assert "unknown job parameters" in payload["error"]
+            assert "'kernel'" in payload["error"]
+        finally:
+            app.manager.shutdown()
+
     def test_query_validation_400(self, tmp_path):
         app = make_app(tmp_path)
         try:

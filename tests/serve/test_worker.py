@@ -102,6 +102,25 @@ class TestWorkerLoopProtocol:
         assert record.result["resumed"] is False
         store.close()
 
+    def test_stored_job_with_dropped_kernel_param_runs_without_it(self, tmp_path):
+        # Rows written before the kernel switch was removed may still carry
+        # "kernel"; the worker must run them on the real runner regardless.
+        store = JobStore(tmp_path / "jobs.sqlite")
+        store.submit(
+            make_record(
+                "job-old", kernel="reference", generations=2, population=8,
+                n_mc=1, n_partitions=2,
+            )
+        )
+        loop = WorkerLoop(store, worker_id="w-new", poll_s=0.01)
+        loop.stop()
+        assert loop.run() == 1
+        record = store.get("job-old")
+        assert record.state == "done", record.error
+        assert record.result["n_runs"] == 1
+        assert record.result["runs"][0]["n_evaluations"] > 0
+        store.close()
+
     def test_lease_lost_worker_records_nothing(self, tmp_path):
         # A worker that keeps running after its lease was reclaimed must
         # not clobber the new owner's job row.

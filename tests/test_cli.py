@@ -61,6 +61,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["nope"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "tpg", "--workers", "0"],
+            ["run", "tpg", "--cache-size", "0"],
+            ["submit", "tpg", "--workers", "0"],
+            ["submit", "tpg", "--cache-size", "-1"],
+            ["campaign", "run", "amp", "--workers", "0"],
+            ["run", "tpg", "--kernel", "reference"],
+        ],
+    )
+    def test_rejects_nonpositive_pool_sizes_and_dropped_flags(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+    def test_serve_accepts_zero_workers(self):
+        # 0 means "accept-only" for the server, unlike the pool flags.
+        assert build_parser().parse_args(["serve", "--workers", "0"]).workers == 0
+
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"

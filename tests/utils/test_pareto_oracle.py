@@ -5,7 +5,8 @@ The library computes the non-dominated mask with an ``O(N log N)`` sweep
 historical per-row loop below is kept verbatim as the oracle: for every
 input, including duplicates, ``+-inf``, NaN and ``-0.0``, the two must
 return the same mask bit for bit.  The constrained mask must also equal
-the first front of :func:`repro.core.kernels.constrained_fronts`.
+the first front of :func:`repro.core.kernels.constrained_fronts` and of
+its reference-loop oracle in ``tests/core/kernel_oracles.py``.
 """
 
 import numpy as np
@@ -15,6 +16,10 @@ from hypothesis import strategies as st
 
 from repro.core.kernels import constrained_fronts, local_rank_and_crowd
 from repro.utils.pareto import pareto_mask
+from tests.core import kernel_oracles
+
+#: Constrained sorts by name: production, and the reference-loop oracle.
+SORTS = {"blocked": constrained_fronts, "reference": kernel_oracles.constrained_fronts}
 
 
 def loop_pareto_mask_unconstrained(objs: np.ndarray) -> np.ndarray:
@@ -52,7 +57,7 @@ def loop_pareto_mask(objs: np.ndarray, violations=None) -> np.ndarray:
 
 def first_front_mask(objs, violations, kernel) -> np.ndarray:
     mask = np.zeros(objs.shape[0], dtype=bool)
-    fronts = constrained_fronts(objs, violations, kernel=kernel)
+    fronts = SORTS[kernel](objs, violations)
     if fronts:
         mask[fronts[0]] = True
     return mask
@@ -151,7 +156,7 @@ class TestNanViolations:
 
     @pytest.mark.parametrize("kernel", ["blocked", "reference"])
     def test_constrained_fronts_gives_nan_its_own_last_front(self, kernel):
-        fronts = constrained_fronts(self.OBJS, [1.0, np.nan, 2.0], kernel=kernel)
+        fronts = SORTS[kernel](self.OBJS, [1.0, np.nan, 2.0])
         assert [f.tolist() for f in fronts] == [[0], [2], [1]]
 
     @pytest.mark.parametrize("kernel", ["blocked", "reference"])
@@ -175,8 +180,8 @@ class TestNanViolations:
         objs = np.vstack([self.OBJS, [[3.0, 3.0]]])
         viol = np.array([1.0, np.nan, 2.0, np.nan])
         part = np.array([0, 0, 0, 1])
-        blocked = local_rank_and_crowd(objs, viol, part, 2, kernel="blocked")
-        reference = local_rank_and_crowd(objs, viol, part, 2, kernel="reference")
+        blocked = local_rank_and_crowd(objs, viol, part, 2)
+        reference = kernel_oracles.local_rank_and_crowd(objs, viol, part, 2)
         np.testing.assert_array_equal(blocked[0], [0, 2, 1, 0])
         np.testing.assert_array_equal(blocked[0], reference[0])
         np.testing.assert_array_equal(blocked[1], reference[1])
